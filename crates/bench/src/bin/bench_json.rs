@@ -1,7 +1,9 @@
-//! Machine-readable benchmark runner: times the same workloads as the
-//! criterion bench targets (`core_solver`, `pipeline`, `sketches`) and
-//! emits one JSON document, so perf trajectories can be committed and
-//! diffed across PRs (`BENCH_*.json` at the repo root).
+//! Machine-readable microbenchmark runner: times the core solver
+//! (saturation chains, Figure 2), the full pipeline at several program
+//! sizes, and sketch lattice operations, and emits one JSON document
+//! (`BENCH_*.json` at the repo root). For end-to-end numbers that are
+//! comparable between two commits, use the repository benchmark in
+//! `perfbench/` instead.
 //!
 //! ```text
 //! cargo run --release -p retypd-bench --bin bench_json            # full suite
@@ -9,7 +11,8 @@
 //! cargo run --release -p retypd-bench --bin bench_json -- --out BENCH_pr2.json
 //! ```
 //!
-//! Names are `<group>/<bench>` matching the criterion targets, e.g.
+//! Names are `<group>/<bench>`, with groups `core_solver`, `pipeline`
+//! and `sketches`, e.g.
 //! `core_solver/saturate_chain_200` and `pipeline/2650` (the pipeline
 //! parameter is the generated program's instruction count).
 

@@ -42,8 +42,8 @@ pub fn figure2_constraints() -> ConstraintSet {
 }
 
 /// A value-flow chain of `n` links with pointer stores/loads every third
-/// link — the `saturate_chain_*` workload shared by the criterion bench,
-/// the JSON emitter, and the determinism regression tests. Keeping one
+/// link — the `saturate_chain_*` workload shared by the JSON emitter and
+/// the determinism regression tests. Keeping one
 /// definition here means the committed `BENCH_*.json` trajectories and the
 /// pinned graph counts always measure the same program.
 pub fn chain_constraints(n: usize) -> ConstraintSet {

@@ -16,13 +16,21 @@
 //! * `gwstats_*` entries — malformed backend `stats` *replies* — are kept
 //!   off the request socket entirely and instead replay through the
 //!   gateway's health-probe classifier, which must reject each one
-//!   without panicking.
+//!   without panicking;
+//! * replayed against a live gateway over one backend, every entry ends
+//!   without a hang, the gateway stays live, and every reply is
+//!   byte-identical to serve's: the gateway shares serve's front end and
+//!   decoder, and every committed batch-shaped entry fails in decode,
+//!   before the gateway would split it into per-module forwards.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use std::net::SocketAddr;
+
 use retypd_fuzz::corpus;
 use retypd_fuzz::oracle::SocketOracle;
+use retypd_gateway::{BackendSpec, GatewayConfig};
 use retypd_serve::{start, Request, Response, ServeConfig};
 
 /// Per-entry socket deadline; a replay exceeding it is a hang.
@@ -76,7 +84,30 @@ fn split_frames(mut bytes: &[u8]) -> Vec<Vec<u8>> {
 /// after the last entry.
 fn replay_all(shards: usize) -> BTreeMap<String, Vec<u8>> {
     let handle = start(config(shards)).expect("bind replay server");
-    let mut oracle = SocketOracle::new(handle.addr(), DEADLINE);
+    let replies = replay(handle.addr(), &format!("{shards} shard(s)"));
+    handle.shutdown();
+    replies
+}
+
+/// Replays the whole corpus against a gateway fronting one backend.
+fn replay_gateway() -> BTreeMap<String, Vec<u8>> {
+    let backend = start(config(1)).expect("bind replay backend");
+    let gateway = retypd_gateway::start(
+        GatewayConfig::default(),
+        vec![BackendSpec::External {
+            addr: backend.addr(),
+        }],
+    )
+    .expect("gateway starts");
+    let replies = replay(gateway.addr(), "the gateway");
+    gateway.shutdown();
+    backend.shutdown();
+    replies
+}
+
+/// Delivers every request entry to `addr`, then demands a live server.
+fn replay(addr: SocketAddr, target: &str) -> BTreeMap<String, Vec<u8>> {
+    let mut oracle = SocketOracle::new(addr, DEADLINE);
     let mut replies = BTreeMap::new();
     for entry in corpus::load().expect("load committed corpus") {
         if entry.name.starts_with("gwstats_") {
@@ -87,16 +118,15 @@ fn replay_all(shards: usize) -> BTreeMap<String, Vec<u8>> {
         } else {
             frame(&entry.bytes)
         };
-        let context = format!("{} at {shards} shard(s)", entry.name);
+        let context = format!("{} at {target}", entry.name);
         let reply = oracle
             .deliver_raw(&wire_bytes, &context)
             .unwrap_or_else(|f| panic!("corpus replay failed: {}", f.describe()));
         replies.insert(entry.name, reply);
     }
     oracle
-        .probe(&format!("post-corpus probe at {shards} shard(s)"))
+        .probe(&format!("post-corpus probe at {target}"))
         .expect("server must outlive the whole corpus");
-    handle.shutdown();
     replies
 }
 
@@ -185,5 +215,23 @@ fn corpus_replays_bit_identically_across_shard_counts() {
                 other => panic!("{name}: reply was not an error frame: {other:?}"),
             }
         }
+    }
+}
+
+#[test]
+fn corpus_replays_through_the_gateway_like_serve() {
+    let serve = replay_all(1);
+    let gateway = replay_gateway();
+    assert_eq!(
+        serve.keys().collect::<Vec<_>>(),
+        gateway.keys().collect::<Vec<_>>()
+    );
+    for (name, reply) in &serve {
+        assert!(
+            reply == &gateway[name],
+            "{name}: gateway reply differs from serve's\n  serve:   {:?}\n  gateway: {:?}",
+            String::from_utf8_lossy(reply),
+            String::from_utf8_lossy(&gateway[name])
+        );
     }
 }

@@ -28,6 +28,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use retypd_gateway::{server, BackendSpec, GatewayConfig};
+use retypd_serve::launch::write_banner_file;
 use retypd_serve::RetryPolicy;
 
 fn main() {
@@ -116,13 +117,11 @@ fn run(args: impl IntoIterator<Item = String>) -> i32 {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     if let Some(path) = banner_file {
-        // tmp + rename, so a reader never sees a half-written line.
-        let tmp = path.with_extension("tmp");
-        if std::fs::write(&tmp, format!("{banner}\n"))
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .is_err()
-        {
-            eprintln!("gateway: could not write banner file {}", path.display());
+        if let Err(e) = write_banner_file(&path, &banner) {
+            eprintln!(
+                "gateway: could not write banner file {}: {e}",
+                path.display()
+            );
         }
     }
     handle.join();

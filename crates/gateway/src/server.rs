@@ -32,6 +32,11 @@
 //!   reply is forwarded, the loser dropped. Determinism makes this
 //!   safe: both backends compute byte-identical reports, so the race
 //!   only picks *which copy* of the answer arrives.
+//! * **Serve's front door.** Accepting, framing, read and write
+//!   timeouts, per-connection budgets, oversize refusals and the join on
+//!   drain are [`retypd_serve::frontend`], with serve's default
+//!   [`Limits`]; this module supplies only the drain flag and the
+//!   per-frame handler.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -40,6 +45,7 @@ use retypd_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{Arc, Mutex};
 use retypd_core::Lattice;
+use retypd_serve::frontend::{self, Frontend, Limits, Service};
 use retypd_serve::wire::{
     self, Request, Response, WireBatchDone, WireMetrics, WireReport, WireStats,
 };
@@ -142,7 +148,6 @@ struct Shared {
     epoch: AtomicU64,
     draining: AtomicBool,
     local_addr: SocketAddr,
-    active_conns: AtomicUsize,
     default_lattice_fp: u64,
     metrics: GatewayMetrics,
     config: GatewayConfig,
@@ -329,7 +334,7 @@ impl Shared {
 /// [`GatewayHandle::shutdown`] (or send the wire `shutdown` request).
 pub struct GatewayHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    frontend: Frontend,
     health: Option<JoinHandle<()>>,
 }
 
@@ -376,9 +381,9 @@ impl GatewayHandle {
         self.shared.metrics.registry.snapshot()
     }
 
-    /// Drains: stops accepting, waits for in-flight connections, shuts
-    /// down spawned backends gracefully (wire `shutdown`, then kill on
-    /// timeout).
+    /// Drains: stops accepting, joins every connection (idle ones close
+    /// within one read-poll tick), shuts down spawned backends gracefully
+    /// (wire `shutdown`, then kill on timeout).
     pub fn shutdown(mut self) {
         begin_drain(&self.shared);
         self.join_threads();
@@ -393,9 +398,7 @@ impl GatewayHandle {
     }
 
     fn join_threads(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        self.frontend.join();
         if let Some(h) = self.health.take() {
             let _ = h.join();
         }
@@ -409,8 +412,7 @@ fn begin_drain(shared: &Shared) {
     if shared.draining.swap(true, Ordering::AcqRel) {
         return;
     }
-    // Unblock the acceptor with a no-op connection.
-    let _ = TcpStream::connect(shared.local_addr);
+    frontend::wake(shared.local_addr);
 }
 
 /// Gracefully stops every spawned backend: wire `shutdown` first (lets
@@ -457,7 +459,6 @@ pub fn start(config: GatewayConfig, specs: Vec<BackendSpec>) -> Result<GatewayHa
         epoch: AtomicU64::new(0),
         draining: AtomicBool::new(false),
         local_addr,
-        active_conns: AtomicUsize::new(0),
         default_lattice_fp: Lattice::c_types().fingerprint(),
         metrics,
         config,
@@ -501,13 +502,8 @@ pub fn start(config: GatewayConfig, specs: Vec<BackendSpec>) -> Result<GatewayHa
         return Err("no backend passed its startup probe".into());
     }
 
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        retypd_core::sync::thread::Builder::new()
-            .name("gateway-acceptor".into())
-            .spawn(move || acceptor_main(listener, shared))
-            .map_err(|e| e.to_string())?
-    };
+    let frontend = Frontend::start(listener, Limits::default(), Arc::clone(&shared))
+        .map_err(|e| e.to_string())?;
     let health = {
         let shared = Arc::clone(&shared);
         retypd_core::sync::thread::Builder::new()
@@ -517,37 +513,9 @@ pub fn start(config: GatewayConfig, specs: Vec<BackendSpec>) -> Result<GatewayHa
     };
     Ok(GatewayHandle {
         shared,
-        acceptor: Some(acceptor),
+        frontend,
         health: Some(health),
     })
-}
-
-fn acceptor_main(listener: TcpListener, shared: Arc<Shared>) {
-    for conn in listener.incoming() {
-        if shared.draining.load(Ordering::Relaxed) {
-            break;
-        }
-        let Ok(conn) = conn else { continue };
-        // Replies are written prefix-then-payload; without nodelay the
-        // second write sits out a Nagle/delayed-ACK round (~40ms).
-        conn.set_nodelay(true).ok();
-        shared.active_conns.fetch_add(1, Ordering::Relaxed);
-        let shared2 = Arc::clone(&shared);
-        let spawned = retypd_core::sync::thread::Builder::new()
-            .name("gateway-conn".into())
-            .spawn(move || {
-                handle_conn(conn, &shared2);
-                shared2.active_conns.fetch_sub(1, Ordering::Release);
-            });
-        if spawned.is_err() {
-            shared.active_conns.fetch_sub(1, Ordering::Release);
-        }
-    }
-    // Drain: give in-flight connections a bounded window to finish.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while shared.active_conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-        retypd_core::sync::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 /// The supervisor: probe every slot each sweep, evict/restart/re-add.
@@ -604,84 +572,54 @@ fn health_main(shared: Arc<Shared>) {
     }
 }
 
-fn handle_conn(mut conn: TcpStream, shared: &Shared) {
-    loop {
-        let payload = match wire::read_frame(&mut conn) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(_) => return,
-        };
-        shared.metrics.requests.inc();
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = write_reply(&mut conn, &Response::Error(e.to_string()).encode());
-                continue;
-            }
-        };
-        if shared.draining.load(Ordering::Relaxed) {
-            let _ = write_reply(&mut conn, &Response::ShuttingDown.encode());
-            continue;
-        }
-        match request {
-            Request::SolveModule {
+impl Service for Shared {
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::Relaxed)
+    }
+
+    fn frame(&self, conn: &mut TcpStream, payload: Vec<u8>) -> bool {
+        self.metrics.requests.inc();
+        let reply = match Request::decode(&payload) {
+            Err(e) => Response::Error(e.to_string()).encode(),
+            Ok(_) if self.draining() => Response::ShuttingDown.encode(),
+            Ok(Request::SolveModule {
                 module, lattice, ..
-            } => {
+            }) => {
                 // Forward the client's own frame verbatim — the gateway
                 // only needs the routing key from it.
-                let reply = match module.to_job() {
+                match module.to_job() {
                     Ok(job) => {
                         let lattice_fp = lattice
                             .as_ref()
-                            .map_or(shared.default_lattice_fp, |d| d.fingerprint());
-                        shared.forward_solve(route_key(lattice_fp, job.fingerprint()), &payload)
+                            .map_or(self.default_lattice_fp, |d| d.fingerprint());
+                        self.forward_solve(route_key(lattice_fp, job.fingerprint()), &payload)
                     }
                     Err(e) => Response::Error(e.to_string()).encode(),
-                };
-                if write_reply(&mut conn, &reply).is_err() {
-                    return;
                 }
             }
-            Request::SolveBatch {
+            Ok(Request::SolveBatch {
                 modules,
                 lattice,
                 stream,
                 trace_id,
-            } => {
-                if handle_batch(&mut conn, shared, modules, lattice, stream, trace_id).is_err() {
-                    return;
-                }
-            }
-            Request::Stats => {
-                let reply = Response::Stats(aggregate_stats(shared)).encode();
-                if write_reply(&mut conn, &reply).is_err() {
-                    return;
-                }
-            }
-            Request::Metrics { text } => {
-                let merged = aggregate_metrics(shared);
-                let reply = if text {
-                    Response::MetricsText(metrics_to_text(&merged))
+            }) => return handle_batch(conn, self, modules, lattice, stream, trace_id).is_ok(),
+            Ok(Request::Stats) => Response::Stats(aggregate_stats(self)).encode(),
+            Ok(Request::Metrics { text }) => {
+                let merged = aggregate_metrics(self);
+                if text {
+                    Response::MetricsText(metrics_to_text(&merged)).encode()
                 } else {
-                    Response::Metrics(merged)
-                };
-                if write_reply(&mut conn, &reply.encode()).is_err() {
-                    return;
+                    Response::Metrics(merged).encode()
                 }
             }
-            Request::Shutdown => {
-                let _ = write_reply(&mut conn, &Response::ShuttingDown.encode());
-                begin_drain(shared);
-                return;
+            Ok(Request::Shutdown) => {
+                let _ = wire::write_frame(conn, &Response::ShuttingDown.encode());
+                begin_drain(self);
+                return false;
             }
-        }
+        };
+        wire::write_frame(conn, &reply).is_ok()
     }
-}
-
-fn write_reply(conn: &mut TcpStream, payload: &[u8]) -> Result<(), String> {
-    use std::io::Write;
-    wire::write_frame(conn, payload).map_err(|e| e.to_string())?;
-    conn.flush().map_err(|e| e.to_string())
 }
 
 /// Decomposes a batch into per-module forwards (a small worker pool —
@@ -695,7 +633,7 @@ fn handle_batch(
     lattice: Option<retypd_core::LatticeDescriptor>,
     stream: bool,
     trace_id: Option<String>,
-) -> Result<(), String> {
+) -> Result<(), wire::WireError> {
     let started = Instant::now();
     let total = modules.len();
     let lattice_fp = lattice
@@ -713,7 +651,7 @@ fn handle_batch(
         } else {
             Response::Solved(vec![])
         };
-        return write_reply(conn, &reply.encode());
+        return wire::write_frame(conn, &reply.encode());
     }
 
     let healthy = shared.backends.iter().filter(|b| b.healthy()).count().max(1);
@@ -722,7 +660,7 @@ fn handle_batch(
     let (tx, rx) = retypd_core::sync::mpsc::channel::<(usize, Result<WireReport, String>)>();
 
     // retypd-lint: allow(no-raw-thread) scoped spawns are not modeled
-    std::thread::scope(|scope| -> Result<(), String> {
+    std::thread::scope(|scope| -> Result<(), wire::WireError> {
         for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
@@ -749,7 +687,7 @@ fn handle_batch(
                 match result {
                     Ok(report) => {
                         delivered += 1;
-                        write_reply(
+                        wire::write_frame(
                             conn,
                             &Response::Report {
                                 index,
@@ -760,7 +698,7 @@ fn handle_batch(
                     }
                     Err(e) => {
                         errors.push(format!("module {index}: {e}"));
-                        write_reply(
+                        wire::write_frame(
                             conn,
                             &Response::Report {
                                 index,
@@ -771,7 +709,7 @@ fn handle_batch(
                     }
                 }
             }
-            write_reply(
+            wire::write_frame(
                 conn,
                 &Response::BatchDone(WireBatchDone {
                     modules: total,
@@ -801,7 +739,7 @@ fn handle_batch(
             } else {
                 Response::Error(errors.join("; "))
             };
-            write_reply(conn, &reply.encode())
+            wire::write_frame(conn, &reply.encode())
         }
     })
 }

@@ -4,8 +4,12 @@
 //! solver. Also pins the gateway's warm affinity (a re-submitted batch
 //! is all cache hits), its stats/metrics aggregation, and the hedged
 //! request's exactly-one-reply contract under an artificially slow
-//! backend.
+//! backend, and the front door the gateway shares with `serve`: the
+//! polite over-cap refusal and a drain that does not wait on idle
+//! clients.
 
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use retypd_core::{Lattice, Solver};
@@ -13,8 +17,8 @@ use retypd_driver::ModuleJob;
 use retypd_gateway::{server, BackendSpec, GatewayConfig, GatewayHandle};
 use retypd_minic::codegen::compile;
 use retypd_minic::genprog::{ClusterSpec, ProgramGenerator};
-use retypd_serve::wire::WireReport;
-use retypd_serve::{start as serve_start, Client, ServeConfig, ServerHandle};
+use retypd_serve::wire::{read_frame, WireReport};
+use retypd_serve::{start as serve_start, Client, Response, ServeConfig, ServerHandle};
 
 fn corpus() -> Vec<ModuleJob> {
     let spec = ClusterSpec {
@@ -332,5 +336,44 @@ fn gateway_refuses_cleanly_while_draining() {
     let _ = client.solve_module(&jobs[0]).expect("pre-drain solve");
     client.shutdown().expect("drain acknowledged");
     gw.join();
+    b.shutdown();
+}
+
+#[test]
+fn oversized_announcement_gets_serves_over_cap_error() {
+    let b = backend(None);
+    let gw = gateway(&[&b], None);
+    let mut s = TcpStream::connect(gw.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // Announce a frame over the cap: the gateway must say why before it
+    // closes, exactly as `serve` does, instead of a silent close.
+    s.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    let p = read_frame(&mut s)
+        .expect("reply readable")
+        .expect("an error frame, not a silent close");
+    match Response::decode(&p).unwrap() {
+        Response::Error(m) => assert!(m.contains("over cap"), "{m}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    gw.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn shutdown_does_not_wait_on_an_idle_client() {
+    let b = backend(None);
+    let gw = gateway(&[&b], None);
+    // A connected client that has been served once and then sits idle:
+    // its handler is parked in a read when the drain begins.
+    let mut idle = Client::connect(gw.addr()).expect("connect");
+    idle.stats().expect("connection is live");
+    let started = Instant::now();
+    gw.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "shutdown waited {took:?} on an idle connection"
+    );
+    drop(idle);
     b.shutdown();
 }

@@ -60,9 +60,14 @@ pub fn parse_ready_banner(line: &str) -> Option<(SocketAddr, u32, usize)> {
     Some((addr?, pid?, shards?))
 }
 
-/// Writes the banner to `path` via temp-file + rename, so a reader never
-/// observes a half-written line.
-fn write_banner_file(path: &Path, banner: &str) -> std::io::Result<()> {
+/// Writes a readiness banner line to `path` via temp-file + rename, so a
+/// reader never observes a half-written line. The gateway binary writes
+/// its own banner through this too.
+///
+/// # Errors
+///
+/// Fails if the temp file cannot be written or renamed into place.
+pub fn write_banner_file(path: &Path, banner: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, format!("{banner}\n"))?;
     std::fs::rename(&tmp, path)

@@ -17,9 +17,12 @@
 //!   segregate cache entries by lattice fingerprint. Modules route by
 //!   content fingerprint, so a re-submitted module always finds its warm
 //!   cache. Admission control refuses work past a queue-depth limit with
-//!   `overloaded` instead of stacking latency; connection handlers are
-//!   tracked and joined on drain (polled reads with a configurable
-//!   timeout), so shutdown delivers every final frame before exit.
+//!   `overloaded` instead of stacking latency.
+//! * [`frontend`] — the connection front end `serve` and the gateway
+//!   share: accept backoff, polled reads with a read timeout, bounded
+//!   writes, per-connection budgets, oversize refusals, and connection
+//!   handlers tracked and joined on drain, so shutdown delivers every
+//!   final frame before exit.
 //! * [`client`] — a blocking client (plus the [`client::BatchStream`]
 //!   streaming iterator) used by the tests and by the
 //!   [`loadgen`](../loadgen/index.html) binary, which replays a generated
@@ -45,6 +48,7 @@
 
 pub mod admission;
 pub mod client;
+pub mod frontend;
 pub mod json;
 pub mod launch;
 pub mod server;

@@ -37,12 +37,12 @@
 //!   `report` frame per module the moment its shard finishes it, plus a
 //!   terminal `batch_done` — time-to-first-report beats whole-batch
 //!   latency because modules stream while siblings still solve.
-//! * **Tracked connections.** Connection handlers are registered and
-//!   *joined* on drain: reads are polled (so an idle handler notices the
-//!   drain within a tick), every written frame reaches the kernel before
-//!   the process can exit, and a stalled or half-open client is bounded by
-//!   [`ServeConfig::read_timeout`] — it gets a protocol `error` reply when
-//!   possible instead of pinning a thread forever.
+//! * **Tracked connections.** Accepting, framing, timeouts, budgets and
+//!   the join on drain live in [`crate::frontend`], shared with the
+//!   gateway: every written frame reaches the kernel before the process
+//!   can exit, and a stalled or half-open client is bounded by
+//!   [`ServeConfig::read_timeout`]. This module supplies the per-frame
+//!   handler (decode, admission, dispatch, streaming) and the drain flag.
 //! * **Graceful drain.** `shutdown` (wire message or
 //!   [`ServerHandle::shutdown`]) stops admissions, lets every queued job
 //!   finish, and joins the shard *and connection* threads; in-flight
@@ -56,8 +56,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use retypd_core::fxhash::FxHashMap;
-use retypd_core::sync::atomic::{AtomicU64, Ordering};
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{mpsc, Arc, Mutex};
 use retypd_core::{Lattice, LatticeDescriptor, SolverResult};
@@ -68,6 +66,7 @@ use retypd_driver::{
 use retypd_telemetry::{trace_id_hash, Counter, Histogram, MetricsSnapshot, Registry};
 
 use crate::admission::Admission;
+use crate::frontend::{self, Frontend, Limits, Service};
 use crate::stats_cells::ShardStatsCells;
 
 use crate::wire::{
@@ -125,15 +124,16 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
+        let limits = Limits::default();
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             shards: 2,
             workers_per_shard: 1,
             queue_depth: 256,
             cache_capacity: Some(4096),
-            read_timeout: Some(Duration::from_secs(30)),
-            max_frames_per_conn: Some(100_000),
-            max_bytes_per_conn: Some(1 << 30),
+            read_timeout: limits.read_timeout,
+            max_frames_per_conn: limits.max_frames_per_conn,
+            max_bytes_per_conn: limits.max_bytes_per_conn,
             persist_dir: None,
             solve_delay: None,
         }
@@ -214,19 +214,6 @@ struct Shared {
     /// accounting, and the sticky drain flag (see [`crate::admission`]).
     admission: Admission,
     local_addr: SocketAddr,
-    /// Per-connection read behavior (see [`ServeConfig::read_timeout`]).
-    read_timeout: Option<Duration>,
-    /// Per-connection budgets (see [`ServeConfig::max_frames_per_conn`]
-    /// and [`ServeConfig::max_bytes_per_conn`]).
-    max_frames_per_conn: Option<u64>,
-    max_bytes_per_conn: Option<u64>,
-    /// Live connection handlers, joined on drain so every final frame
-    /// reaches the kernel before the process exits. The acceptor inserts
-    /// `None` *before* spawning (so a handler that finishes instantly can
-    /// deregister without racing the insert) and fills in the handle
-    /// right after.
-    conns: Mutex<FxHashMap<u64, Option<JoinHandle<()>>>>,
-    next_conn: AtomicU64,
     /// Descriptor-built lattices memoized server-wide (bounded; shared
     /// across all shards and connections).
     lattices: LatticeMemo,
@@ -272,19 +259,7 @@ impl Shared {
         for shard in &self.shards {
             shard.tx.lock().expect("shard tx lock").take();
         }
-        // Nudge the acceptor out of `accept()`. A bind to 0.0.0.0/[::] is
-        // not a connectable destination everywhere, so aim the nudge at
-        // loopback on the same port; residual failure (e.g. ephemeral-port
-        // exhaustion) leaves the acceptor parked until the next real
-        // connection, which also observes `draining` and lets it exit.
-        let mut nudge = self.local_addr;
-        if nudge.ip().is_unspecified() {
-            nudge.set_ip(match nudge.ip() {
-                std::net::IpAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                std::net::IpAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&nudge, std::time::Duration::from_secs(1));
+        frontend::wake(self.local_addr);
     }
 
     fn stats(&self) -> WireStats {
@@ -324,7 +299,7 @@ impl Shared {
 /// A running server: its bound address and lifecycle control.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    frontend: Frontend,
     shard_threads: Vec<JoinHandle<()>>,
 }
 
@@ -379,27 +354,13 @@ impl ServerHandle {
     }
 
     fn join_threads(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        // Joining every connection handler guarantees each final response
+        // frame was handed to the kernel before this returns — the
+        // delivery contract that retired the exit dwell in the `serve`
+        // binary.
+        self.frontend.join();
         for t in self.shard_threads.drain(..) {
             let _ = t.join();
-        }
-        // With the acceptor gone no new connections can register; joining
-        // what remains guarantees every final response frame was handed to
-        // the kernel before this returns — the delivery contract that
-        // retired the exit dwell in the `serve` binary. Handlers notice
-        // the drain within one read-poll tick, so this is bounded.
-        let conns: Vec<JoinHandle<()>> = self
-            .shared
-            .conns
-            .lock()
-            .expect("connection registry")
-            .drain()
-            .filter_map(|(_, handle)| handle)
-            .collect();
-        for handle in conns {
-            let _ = handle.join();
         }
     }
 }
@@ -463,11 +424,6 @@ fn start_with_hook(config: ServeConfig, hook: SolveHook) -> std::io::Result<Serv
         shards: shard_handles,
         admission: Admission::new(config.queue_depth),
         local_addr,
-        read_timeout: config.read_timeout,
-        max_frames_per_conn: config.max_frames_per_conn,
-        max_bytes_per_conn: config.max_bytes_per_conn,
-        conns: Mutex::new(FxHashMap::default()),
-        next_conn: AtomicU64::new(0),
         lattices: LatticeMemo::new(),
         default_lattice_fp: Lattice::c_types().fingerprint(),
         metrics: ServerMetrics::new(),
@@ -522,17 +478,15 @@ fn start_with_hook(config: ServeConfig, hook: SolveHook) -> std::io::Result<Serv
             .expect("shard thread died before becoming ready");
     }
 
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        retypd_core::sync::thread::Builder::new()
-            .name("retypd-acceptor".into())
-            .spawn(move || acceptor_main(listener, shared))
-            .expect("spawn acceptor thread")
+    let limits = Limits {
+        read_timeout: config.read_timeout,
+        max_frames_per_conn: config.max_frames_per_conn,
+        max_bytes_per_conn: config.max_bytes_per_conn,
     };
-
+    let frontend = Frontend::start(listener, limits, Arc::clone(&shared))?;
     Ok(ServerHandle {
         shared,
-        acceptor: Some(acceptor),
+        frontend,
         shard_threads,
     })
 }
@@ -650,302 +604,25 @@ fn shard_main(
     }
 }
 
-fn acceptor_main(listener: TcpListener, shared: Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.admission.is_draining() {
-            return;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                // Persistent accept errors (e.g. EMFILE under fd
-                // exhaustion) would otherwise spin this loop at 100% CPU;
-                // back off briefly before retrying.
-                retypd_core::sync::thread::sleep(std::time::Duration::from_millis(50));
-                continue;
-            }
-        };
-        // Frames are small request/response pairs; Nagle + delayed ACK
-        // would add ~40ms to every warm hit.
-        stream.set_nodelay(true).ok();
-        // Writes are always bounded: a client that stops reading its
-        // replies must not wedge a handler the drain will join.
-        stream
-            .set_write_timeout(Some(shared.read_timeout.unwrap_or(DEFAULT_WRITE_TIMEOUT)))
-            .ok();
-        // Track the handler so a drain can join it: every written frame
-        // reaches the kernel before the process exits. Register the id
-        // *before* spawning so a handler that finishes instantly (port
-        // scanner, health check) deregisters an existing entry instead of
-        // racing the insert and leaking a dead handle.
-        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        shared
-            .conns
-            .lock()
-            .expect("connection registry")
-            .insert(id, None);
-        let conn_shared = Arc::clone(&shared);
-        let spawned = retypd_core::sync::thread::Builder::new()
-            .name("retypd-conn".into())
-            .spawn(move || {
-                handle_conn(stream, &conn_shared);
-                // Deregister after the last write: if the drain's sweep
-                // already took this handle, the removal is a no-op and the
-                // join covers us; either way nothing runs after this line.
-                conn_shared
-                    .conns
-                    .lock()
-                    .expect("connection registry")
-                    .remove(&id);
-            });
-        let mut conns = shared.conns.lock().expect("connection registry");
-        match spawned {
-            // The handler may already have deregistered itself; only fill
-            // in the handle if the entry is still live (a missing entry
-            // means the thread is past its final write and exiting).
-            Ok(handle) => {
-                if let Some(slot) = conns.get_mut(&id) {
-                    *slot = Some(handle);
-                }
-            }
-            Err(_) => {
-                conns.remove(&id);
-            }
-        }
+impl Service for Shared {
+    fn draining(&self) -> bool {
+        self.admission.is_draining()
     }
-}
 
-/// One poll tick: how often a blocked read re-checks the drain flag and
-/// the configured read deadline. Bounds how long a drain waits on an idle
-/// connection.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Once a drain begins, a connection mid-frame (or mid-write) gets this
-/// long to finish before the handler gives up and closes — the backstop
-/// that keeps the drain join bounded even with `read_timeout` disabled.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-/// Blocking writes are always bounded (a client that stops reading its
-/// replies must not wedge the handler the drain will join): the
-/// configured read timeout, or this when reads are unbounded.
-const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Outcome of a polled frame read.
-enum PolledRead {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// Clean EOF between frames.
-    Eof,
-    /// The server began draining while this connection sat idle (no frame
-    /// byte consumed): close without a reply — an unsolicited frame would
-    /// desynchronize a request/response client.
-    DrainIdle,
-    /// No byte arrived within the configured read timeout (idle or
-    /// stalled mid-frame): answer with a protocol error, then close.
-    TimedOut,
-    /// The peer announced a frame over [`wire::MAX_FRAME_BYTES`]: refuse
-    /// it politely (the stream is desynchronized afterwards).
-    Oversized(usize),
-    /// Truncated frame or socket error: just close.
-    Broken,
-}
-
-/// Reads one frame with a polling loop instead of a single blocking read:
-/// every [`READ_POLL`] tick it re-checks the drain flag (idle connections
-/// notice a drain promptly, which is what lets the server *join* its
-/// connection handlers) and the `read_timeout` deadline (a half-open or
-/// stalled client cannot pin the thread).
-fn read_frame_polled(
-    stream: &mut TcpStream,
-    read_timeout: Option<Duration>,
-    admission: &Admission,
-) -> PolledRead {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return PolledRead::Broken;
+    fn opened(&self) {
+        self.metrics.conns_opened.inc();
     }
-    let deadline = read_timeout.map(|t| Instant::now() + t);
-    let mut drain_deadline: Option<Instant> = None;
-    let mut len_buf = [0u8; 4];
-    // `None` while the 4-byte prefix is being read; `Some(total)` after.
-    let mut expected: Option<usize> = None;
-    let mut payload: Vec<u8> = Vec::new();
-    let mut filled = 0usize;
-    loop {
-        let read = match expected {
-            None => std::io::Read::read(stream, &mut len_buf[filled..]),
-            Some(total) => {
-                // Grow the buffer only as bytes actually arrive: a peer
-                // that *announces* a near-cap frame and then trickles (or
-                // never sends) it must not cost the announced allocation
-                // up front.
-                if filled == payload.len() {
-                    let take = (total - filled).min(wire::READ_CHUNK);
-                    payload.resize(filled + take, 0);
-                }
-                std::io::Read::read(stream, &mut payload[filled..])
-            }
-        };
-        match read {
-            Ok(0) => {
-                // EOF: clean only between frames.
-                return if expected.is_none() && filled == 0 {
-                    PolledRead::Eof
-                } else {
-                    PolledRead::Broken
-                };
-            }
-            Ok(n) => {
-                filled += n;
-                match expected {
-                    None => {
-                        if filled < 4 {
-                            continue;
-                        }
-                        let len = u32::from_be_bytes(len_buf) as usize;
-                        if len > wire::MAX_FRAME_BYTES {
-                            return PolledRead::Oversized(len);
-                        }
-                        if len == 0 {
-                            return PolledRead::Frame(Vec::new());
-                        }
-                        expected = Some(len);
-                        filled = 0;
-                    }
-                    Some(total) => {
-                        if filled == total {
-                            return PolledRead::Frame(payload);
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Poll tick. Only an *idle* connection (no frame byte yet)
-                // may be closed promptly by a drain; a frame in flight is
-                // a request that still deserves its (polite) refusal —
-                // but only for [`DRAIN_GRACE`], so a client stalled
-                // mid-frame cannot hold the drain join hostage even when
-                // `read_timeout` is disabled.
-                if admission.is_draining() {
-                    if expected.is_none() && filled == 0 {
-                        return PolledRead::DrainIdle;
-                    }
-                    let cutoff =
-                        *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-                    if Instant::now() >= cutoff {
-                        return PolledRead::Broken;
-                    }
-                }
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return PolledRead::TimedOut;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return PolledRead::Broken,
-        }
-    }
-}
 
-fn handle_conn(stream: TcpStream, shared: &Shared) {
-    shared.metrics.conns_opened.inc();
-    // Count the close on *every* exit path (there are many), including a
-    // handler panic — the opened/closed pair is how a leak would show.
-    struct ConnClosed<'a>(&'a Counter);
-    impl Drop for ConnClosed<'_> {
-        fn drop(&mut self) {
-            self.0.inc();
-        }
+    fn closed(&self) {
+        self.metrics.conns_closed.inc();
     }
-    let _closed = ConnClosed(&shared.metrics.conns_closed);
-    let mut stream = stream;
-    let mut frames_used = 0u64;
-    let mut bytes_used = 0u64;
-    loop {
-        let payload = match read_frame_polled(&mut stream, shared.read_timeout, &shared.admission)
-        {
-            PolledRead::Frame(p) => p,
-            PolledRead::Eof | PolledRead::DrainIdle | PolledRead::Broken => return,
-            PolledRead::TimedOut => {
-                // The satellite contract: a stalled client gets told why
-                // before the close, when the socket still accepts writes.
-                let secs = shared.read_timeout.unwrap_or_default().as_secs();
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!(
-                        "read timed out after {secs}s; closing connection"
-                    ))
-                    .encode(),
-                );
-                return;
-            }
-            PolledRead::Oversized(len) => {
-                // A refused frame leaves the stream in a known state —
-                // only the 4-byte prefix was consumed — so say why before
-                // hanging up instead of a bare connection reset.
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!("peer announced {len}-byte frame, over cap"))
-                        .encode(),
-                );
-                // The peer's refused payload is typically still arriving;
-                // closing with unread received data sends an RST that
-                // would destroy the reply in flight. Briefly shed the
-                // incoming bytes (bounded, so a firehosing peer cannot
-                // pin the thread) to let the error frame flush first.
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-                let deadline = Instant::now() + Duration::from_millis(250);
-                let mut sink = [0u8; 8192];
-                while Instant::now() < deadline {
-                    match std::io::Read::read(&mut stream, &mut sink) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                }
-                return;
-            }
-        };
-        // Per-connection budgets: the frame that crosses a cap is refused
-        // with an error naming the exhausted limit, then the connection is
-        // closed — cumulative, so one socket cannot extract unbounded work
-        // or feed unbounded bytes no matter how well-formed each frame is.
-        frames_used += 1;
-        bytes_used += 4 + payload.len() as u64;
-        if let Some(limit) = shared.max_frames_per_conn {
-            if frames_used > limit {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!(
-                        "per-connection frame budget of {limit} frames exhausted; \
-                         closing connection"
-                    ))
-                    .encode(),
-                );
-                return;
-            }
-        }
-        if let Some(limit) = shared.max_bytes_per_conn {
-            if bytes_used > limit {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!(
-                        "per-connection byte budget of {limit} bytes exhausted; \
-                         closing connection"
-                    ))
-                    .encode(),
-                );
-                return;
-            }
-        }
-        shared.metrics.frames.inc();
-        shared.metrics.frame_bytes.record(payload.len() as u64);
+
+    fn frame(&self, stream: &mut TcpStream, payload: Vec<u8>) -> bool {
+        self.metrics.frames.inc();
+        self.metrics.frame_bytes.record(payload.len() as u64);
         let decode_start = Instant::now();
         let decoded = Request::decode(&payload);
-        shared
-            .metrics
+        self.metrics
             .frame_decode_ns
             .record(decode_start.elapsed().as_nanos() as u64);
         let response = match decoded {
@@ -959,28 +636,25 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                 // module plus `batch_done`); a pre-admission refusal falls
                 // through as a single ordinary response.
                 match solve_streaming(
-                    &mut stream,
+                    stream,
                     &modules,
                     lattice.as_ref(),
                     trace_id.as_deref(),
-                    shared,
+                    self,
                 ) {
-                    Ok(()) => continue,
+                    Ok(()) => return true,
                     Err(refusal) => refusal,
                 }
             }
-            Ok(req) => respond(req, shared),
+            Ok(req) => respond(req, self),
             Err(e) => Response::Error(e.to_string()),
         };
         let flush_start = Instant::now();
-        let wrote = wire::write_frame(&mut stream, &response.encode());
-        shared
-            .metrics
+        let wrote = wire::write_frame(stream, &response.encode());
+        self.metrics
             .reply_flush_ns
             .record(flush_start.elapsed().as_nanos() as u64);
-        if wrote.is_err() {
-            return;
-        }
+        wrote.is_ok()
     }
 }
 

@@ -1,9 +1,11 @@
 //! Connection-hardening tests over real sockets: the per-connection frame
-//! and byte budgets, the server's refusal of oversized announcements, and
-//! the client's refusal of a malicious server's length prefix.
+//! and byte budgets, the server's refusal of oversized announcements, a
+//! drain that a busy client cannot stall, and the client's refusal of a
+//! malicious server's length prefix.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use retypd_serve::wire::{read_frame, write_frame, MAX_FRAME_BYTES};
 use retypd_serve::{start, Client, ClientError, Request, Response, ServeConfig};
@@ -101,6 +103,31 @@ fn a_trickled_giant_frame_is_dropped_without_a_reply() {
         "truncated frame closes without a reply"
     );
     handle.shutdown();
+}
+
+#[test]
+fn a_client_polling_faster_than_the_read_tick_cannot_stall_the_drain() {
+    // A supervisor's health probe: one stats request every 20 ms on one
+    // kept-alive connection, so the handler's read never sits idle for a
+    // whole poll tick. The drain must still close it and finish.
+    let handle = start(config()).expect("bind");
+    let addr = handle.addr();
+    let prober = retypd_core::sync::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        while client.stats().is_ok() {
+            retypd_core::sync::thread::sleep(Duration::from_millis(20));
+        }
+    });
+    retypd_core::sync::thread::sleep(Duration::from_millis(200));
+    let (done_tx, done_rx) = retypd_core::sync::mpsc::channel();
+    retypd_core::sync::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("drain finished while the client kept polling");
+    prober.join().expect("prober sees the close and stops");
 }
 
 #[test]
